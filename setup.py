@@ -1,6 +1,33 @@
-"""Legacy shim: lets ``pip install -e .`` work in offline environments
-where the ``wheel`` package is unavailable (metadata in pyproject.toml)."""
+"""Package metadata for ``repro``, the reproduction of Kang,
+Mallmann-Trenn & Rivera (PODC '21), "Diversity, Fairness, and
+Sustainability in Population Protocols".
 
-from setuptools import setup
+``pip install -e .`` installs the library from ``src/`` and the
+``repro`` console script; ``setup.py`` is the only metadata file, so it
+also works offline where the ``wheel`` package is unavailable.
+"""
 
-setup()
+import pathlib
+import re
+
+from setuptools import find_packages, setup
+
+HERE = pathlib.Path(__file__).resolve().parent
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (HERE / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "Diversification population protocol: simulation engines, "
+        "experiments and analysis"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy", "networkx"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

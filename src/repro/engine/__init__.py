@@ -8,11 +8,12 @@
   registered kernel;
 * :class:`AggregateSimulation` — count-based engine (complete graph,
   Diversification family);
-* :class:`BatchedAggregateSimulation` — R aggregate replications as one
-  ``(R, 2k)`` count matrix;
-* :class:`HeterogeneousAggregateBatch` — B rows with *different* weight
-  tables, populations and horizons (padded ``(B, k_max)`` state) in one
-  event loop, the engine behind mega-batched scenario sweeps.
+* :class:`HeterogeneousAggregateBatch` — the batched aggregate engine:
+  B rows with their own weight tables, populations and horizons (padded
+  ``(B, k_max)`` state) in one event loop, the engine behind
+  mega-batched scenario sweeps;
+* :class:`BatchedAggregateSimulation` — R replications of one weight
+  table, a thin constructor over R identical rows of the hetero engine.
 """
 
 from . import checkpoint

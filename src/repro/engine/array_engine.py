@@ -32,8 +32,10 @@ topology exposing ``neighbour_arrays()``
 sampled with vectorised gathers.
 
 A batched ``(R, n)`` axis advances R independent replications of the
-same instance together, mirroring
-:class:`~repro.engine.batched.BatchedAggregateSimulation`: one step is
+same instance together, mirroring the batched aggregate engine
+(:class:`~repro.engine.hetero.HeterogeneousAggregateBatch`, whose
+identical-row case is
+:class:`~repro.engine.batched.BatchedAggregateSimulation`): one step is
 applied to all replications per iteration, so the Python-level loop
 count is paid once instead of R times.
 

@@ -1,57 +1,17 @@
 """Batched aggregate simulator: R independent replications at once.
 
-Every experiment in the E1-E12 suite repeats the same chain tens of
-times; running those replications one-by-one through the scalar
-:class:`~repro.engine.aggregate.AggregateSimulation` pays the Python
-interpreter overhead R times over.  This engine instead advances **R
-independent replications simultaneously** as a single ``(R, 2k)`` count
-matrix (dark counts ``A`` in the left block, light counts ``a`` in the
-right block), drawing adopt/lighten events for all replications per
-vectorised step.
-
-Both of the scalar engine's modes are supported and are exact in
-distribution (verified statistically by
-``tests/integration/test_batched_equivalence.py``):
-
-* **per-step** (:meth:`BatchedAggregateSimulation.step`) — one faithful
-  time-step for every replication: the scheduled agent's class and its
-  sampled partner's class are drawn by vectorised categorical sampling
-  over the ``2k`` (light, dark) classes, with the scheduled agent
-  excluded from the partner draw, and the adopt/lighten rules applied
-  through boolean masks.
-* **event-driven** (:meth:`BatchedAggregateSimulation.run`) — each
-  replication draws its *own* geometric number of no-op steps until its
-  next active event (per-replication jump lengths) and jumps its clock
-  forward; replications that land beyond the horizon, or whose active
-  rate has vanished, coast to the horizon and are masked out of the
-  update.  One loop iteration therefore costs O(R k) NumPy work but
-  advances every live replication by a full event, so the Python-level
-  iteration count matches a *single* scalar run instead of R of them.
-
-Replication clocks decouple mid-``run`` (each jumps at its own pace) and
-re-synchronise at the horizon, so :meth:`run` always leaves all
-replications at the same time-step.
-
-Split invariance.  Every replication owns an independent PCG64
-substream (:class:`~repro.engine.streams.RowStreams`), and an arrival
-drawn past the horizon is carried in a per-row ``_pending`` slot
-instead of being discarded, so ``run(a); run(b)`` is bit-identical to
-``run(a + b)`` for any split — the foundation of the
-``snapshot()``/``restore()`` checkpoint contract.  Interventions change
-the event rates and therefore drop all pending arrivals.
-
-The ``lighten_probabilities`` override mirrors the scalar engine and
-gives the A2 ablation (:class:`~repro.core.ablations.UnweightedLightening`)
-the same fast path.  Adversarial interventions are supported batch-wide
-between ``run`` calls: :meth:`~BatchedAggregateSimulation.add_agents`,
-:meth:`~BatchedAggregateSimulation.add_colour` (which widens the
-``(R, 2k)`` count matrix and the shared weight table) and
-:meth:`~BatchedAggregateSimulation.recolour` apply the *same*
-deterministic intervention to every replication — exactly what the
-scalar per-replication loop does with a shared
-:class:`~repro.adversary.schedule.InterventionSchedule` — so E6/E7-style
-robustness sweeps fuse all R replications into one engine (see
-:func:`repro.experiments.replication.replicate_colour_counts`).
+R replications of one weight table are R identical rows of
+:class:`~repro.engine.hetero.HeterogeneousAggregateBatch` — same
+weights, population size and horizon — so this class is a thin
+constructor over that engine and inherits its event loop, per-step
+mode, batch-wide interventions, streaming taps and split-invariant
+checkpoints.  It adds the single-configuration view: the shared
+:class:`~repro.core.weights.WeightTable` (widened by
+:meth:`~BatchedAggregateSimulation.add_colour`), the scalar ``n``,
+``k``, ``replications`` and ``time``, and a common clock — :meth:`run`
+and :meth:`run_per_step` take one step count for every replication, so
+the clocks, which decouple inside a run, re-synchronise at every
+horizon.
 """
 
 from __future__ import annotations
@@ -61,20 +21,17 @@ from collections.abc import Sequence
 from ..core.weights import WeightTable
 from . import checkpoint as ckpt
 from .aggregate import resolve_lighten_probabilities
-from .backend import (
-    FLOAT64,
-    HOST,
-    INT64,
-    Backend,
-    Generator,
-    require_engine_loops,
-    resolve_backend,
-)
-from .rng import make_rng
-from .streams import RowStreams, geometric_from_uniform
+from .backend import FLOAT64, HOST, INT64, Backend, Generator
+from .hetero import HeterogeneousAggregateBatch
+
+np = HOST.xp  # constructor inputs and legacy payloads are host-side
+
+#: Engine tag of the payloads this class wrote before it wrapped the
+#: heterogeneous engine; new snapshots carry the hetero layout and tag.
+_LEGACY = "BatchedAggregateSimulation"
 
 
-class BatchedAggregateSimulation:
+class BatchedAggregateSimulation(HeterogeneousAggregateBatch):
     """Count-based simulator of R replications of Diversification.
 
     Args:
@@ -105,89 +62,36 @@ class BatchedAggregateSimulation:
         lighten_probabilities: Sequence[float] | None = None,
         backend: str | Backend | None = None,
     ):
-        self._backend = require_engine_loops(
-            resolve_backend(backend), "BatchedAggregateSimulation"
-        )
-        xp = self._backend.xp
-        self.weights = weights
         k = weights.k
-        dark = xp.asarray(dark_counts, dtype=INT64)
-        if light_counts is None:
-            light = xp.zeros(dark.shape, dtype=INT64)
-        else:
-            light = xp.asarray(light_counts, dtype=INT64)
-        dark = self._as_matrix(dark, replications, k, "dark_counts", xp)
+        dark = _as_matrix(dark_counts, replications, k, "dark_counts")
         replications = dark.shape[0]
-        light = self._as_matrix(light, replications, k, "light_counts", xp)
-        if light.shape[0] != replications:
-            raise ValueError(
-                "dark_counts and light_counts disagree on the number of "
-                f"replications ({replications} vs {light.shape[0]})"
-            )
-        if (dark < 0).any() or (light < 0).any():
-            raise ValueError("counts must be non-negative")
+        if light_counts is None:
+            light = np.zeros_like(dark)
+        else:
+            light = _as_matrix(light_counts, replications, k, "light_counts")
         totals = dark.sum(axis=1) + light.sum(axis=1)
         if not (totals == totals[0]).all():
             raise ValueError(
                 "all replications must share the same population size"
             )
-        self._n = int(totals[0])
-        if self._n < 2:
-            raise ValueError("need at least two agents")
-        # One contiguous (R, 2k) state matrix; dark and light are views.
-        # repro-lint: disable=RL301 -- serialised via its _dark/_light views; restore() rebuilds it
-        self._state = xp.concatenate([dark, light], axis=1)
-        self._dark = self._state[:, :k]
-        self._light = self._state[:, k:]
-        self._lighten = xp.asarray(
+        lighten = np.asarray(
             resolve_lighten_probabilities(weights, lighten_probabilities),
             dtype=FLOAT64,
         )
-        self.rng = make_rng(rng)
-        self._times = xp.zeros(replications, dtype=INT64)
-        # Every replication draws from its own substream (seeded off the
-        # base generator), so a row's consumed uniforms depend only on
-        # its own event history — the basis of the split-invariance
-        # contract (``run(a); run(b)`` bit-identical to ``run(a + b)``).
-        self._streams = RowStreams.from_generator(self.rng, replications)
-        # Next active-event arrival per row, carried across run calls
-        # when it overshoots the horizon (-1 = none drawn yet).
-        self._pending = xp.full(replications, -1, dtype=INT64)
-        # repro-lint: disable=RL3 -- observer callbacks, re-registered by the owner after restore()
-        self._taps: list = []
-
-    @staticmethod
-    def _as_matrix(counts, replications: int | None, k: int, name: str, xp):
-        if counts.ndim == 1:
-            if counts.shape[0] != k:
-                raise ValueError(
-                    f"{name} must match the weight table size (k={k})"
-                )
-            if replications is None:
-                raise ValueError(
-                    f"replications is required when {name} is 1-D"
-                )
-            if replications < 1:
-                raise ValueError("need at least one replication")
-            return xp.tile(counts, (replications, 1))
-        if counts.ndim != 2 or counts.shape[1] != k:
-            raise ValueError(
-                f"{name} must have shape (k,) or (R, k) with k={k}"
-            )
-        if replications is not None and counts.shape[0] != replications:
-            raise ValueError(
-                f"{name} has {counts.shape[0]} rows but "
-                f"replications={replications}"
-            )
-        return counts.copy()
-
-    # ------------------------------------------------------------------
-    # Introspection
+        super().__init__(
+            [weights] * replications,
+            dark,
+            light,
+            rng=rng,
+            lighten_rows=np.tile(lighten, (replications, 1)),
+            backend=backend,
+        )
+        self.weights = weights
 
     @property
     def n(self) -> int:
         """Number of agents (identical across replications)."""
-        return self._n
+        return int(self._n[0])
 
     @property
     def k(self) -> int:
@@ -197,134 +101,21 @@ class BatchedAggregateSimulation:
     @property
     def replications(self) -> int:
         """Number of replications R."""
-        return self._state.shape[0]
-
-    @property
-    def backend(self) -> Backend:
-        """The array backend this engine computes on."""
-        return self._backend
+        return self.rows
 
     @property
     def time(self) -> int:
-        """Common time-step of all replications.
-
-        Clocks decouple inside :meth:`run` but re-synchronise at every
-        horizon; between calls they always agree.
-        """
-        return int(self._times.max(initial=0))
-
-    def times(self):
-        """Per-replication clocks, shape ``(R,)``."""
-        return self._times.copy()
-
-    def dark_counts(self):
-        """``A_i`` per replication and colour, shape ``(R, k)``."""
-        return self._dark.copy()
-
-    def light_counts(self):
-        """``a_i`` per replication and colour, shape ``(R, k)``."""
-        return self._light.copy()
-
-    def colour_counts(self):
-        """``C_i = A_i + a_i`` per replication and colour, ``(R, k)``."""
-        return self._dark + self._light
-
-    # ------------------------------------------------------------------
-    # Per-step mode (used by the equivalence tests)
-
-    def step(self):
-        """One faithful time-step in every replication.
-
-        Each row consumes three uniforms from its own substream, so
-        per-step trajectories are bit-identical for any chunking of
-        ``run_per_step``/``step`` calls and for any interleaving with
-        event-driven ``run`` segments (regression-tested in
-        ``tests/property/test_batched_invariants.py``).
-
-        Returns a boolean ``(R,)`` mask of the replications whose counts
-        changed.
-        """
-        self._pending[:] = -1  # per-step mode re-examines every step
-        self._times += 1
-        bk = self._backend
-        rows = bk.xp.arange(self._state.shape[0])
-        uniforms = bk.from_host(
-            self._streams.take(bk.to_numpy(rows), 3)
-        ).T
-        return apply_step_rows(
-            self._state,
-            self._dark,
-            self._light,
-            self._lighten,
-            rows,
-            uniforms,
-            xp=bk.xp,
-        )
-
-    def run_per_step(self, steps: int) -> "BatchedAggregateSimulation":
-        """Advance ``steps`` time-steps in faithful per-step mode."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        for _ in range(steps):
-            self.step()
-        return self
-
-    # ------------------------------------------------------------------
-    # Event-driven mode
+        """Common time-step of all replications."""
+        return int(self._times.max())
 
     def run(self, steps: int) -> "BatchedAggregateSimulation":
         """Advance every replication exactly ``steps`` time-steps using
-        per-replication event jumps.
+        per-replication event jumps (:meth:`run_to`)."""
+        return super().run(_common(steps))
 
-        The inner loop applies at most one active event per replication
-        per iteration, so its Python-level iteration count matches one
-        scalar run.  Event rates are maintained incrementally (an event
-        touches exactly one dark count, so only the affected lightening
-        term is recomputed), and the event *type* and the first colour
-        are fused into a single categorical draw over the ``2k`` masses
-        ``[a_i * total_dark | A_i (A_i - 1) lighten_i]`` — class
-        ``c < k`` is an adopt event lightening colour ``c``, class
-        ``c >= k`` a lighten event of colour ``c - k``.  The update is
-        then branch-free: every event moves one agent between the light
-        and dark blocks with a ±1 delta pair.
-        """
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        denom = float(self._n) * (self._n - 1)
-        horizon = self._times + steps
-        advance_event_driven(
-            self._times,
-            horizon,
-            self._dark,
-            self._light,
-            self._lighten,
-            self._backend.xp.full(self.replications, denom, dtype=FLOAT64),
-            self._streams,
-            self._pending,
-            self.weights.k,
-            tap=self._tap_update if self._taps else None,
-            backend=self._backend,
-        )
-        self._sync_taps()
-        return self
-
-    # ------------------------------------------------------------------
-    # Adversary support (batch-wide, between ``run`` calls)
-
-    def add_agents(self, colour: int, count: int, dark: bool = True) -> None:
-        """Inject ``count`` fresh agents of an existing colour into
-        *every* replication (the same deterministic shock the scalar
-        loop applies per replication)."""
-        if not 0 <= colour < self.k:
-            raise ValueError(f"unknown colour {colour}")
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if dark:
-            self._dark[:, colour] += count
-        else:
-            self._light[:, colour] += count
-        self._n += count
-        self._pending[:] = -1  # rates changed: redraw the next arrivals
+    def run_per_step(self, steps: int) -> "BatchedAggregateSimulation":
+        """Advance ``steps`` time-steps in faithful per-step mode."""
+        return super().run_per_step(_common(steps))
 
     def add_colour(self, weight: float, count: int, dark: bool = True) -> int:
         """Introduce a brand-new colour with ``count`` supporters in
@@ -333,347 +124,70 @@ class BatchedAggregateSimulation:
 
         Sustainability requires new colours to arrive dark (Sec 1.2).
         """
-        if count < 0:  # validate before any widening takes effect
+        if count < 0:  # validate before the shared table widens
             raise ValueError("count must be non-negative")
         colour = self.weights.add_colour(weight)
-        k = self.weights.k
-        xp = self._backend.xp
-        state = xp.zeros((self._state.shape[0], 2 * k), dtype=INT64)
-        state[:, : k - 1] = self._dark
-        state[:, k : 2 * k - 1] = self._light
-        self._state = state
-        self._dark = state[:, :k]
-        self._light = state[:, k:]
-        self._lighten = xp.concatenate(
-            [self._lighten, xp.asarray([1.0 / weight], dtype=FLOAT64)]
-        )
-        self.add_agents(colour, count, dark=dark)
+        super().add_colour(weight, count, dark=dark)
         return colour
 
-    def recolour(self, source: int, target: int) -> None:
-        """Repaint all agents of ``source`` as ``target`` (shades kept)
-        in every replication."""
-        if not (0 <= source < self.k and 0 <= target < self.k):
-            raise ValueError("source and target must be existing colours")
-        if source == target:
-            return
-        self._dark[:, target] += self._dark[:, source]
-        self._light[:, target] += self._light[:, source]
-        self._dark[:, source] = 0
-        self._light[:, source] = 0
-        self._pending[:] = -1  # rates changed: redraw the next arrivals
-
-    # ------------------------------------------------------------------
-    # Streaming analysis taps
-
-    def attach_stream(self, accumulator, *, reset: bool = True) -> None:
-        """Feed a streaming accumulator from inside the event loop.
-
-        The accumulator is reset to the current ``(R, k)`` configuration
-        and then updated after every applied event (per affected rows)
-        and synchronised at each horizon, so it integrates all R
-        trajectories exactly while the engine holds no history.  Pass
-        ``reset=False`` to re-attach an accumulator restored via
-        ``load_state`` alongside an engine ``restore()`` — continuing
-        the original accumulation bit-identically.
-        """
-        if reset:
-            accumulator.reset(
-                self._times.copy(),
-                self._dark.astype(FLOAT64),
-                self._light.astype(FLOAT64),
-            )
-        self._taps.append(accumulator)
-
-    def detach_streams(self) -> None:
-        """Drop all attached streaming accumulators."""
-        self._taps.clear()
-
-    def _tap_update(self, rows) -> None:
-        times = self._times[rows]
-        dark = self._dark[rows].astype(FLOAT64)
-        light = self._light[rows].astype(FLOAT64)
-        for tap in self._taps:
-            tap.update(rows, times, dark, light)
-
-    def _sync_taps(self) -> None:
-        if not self._taps:
-            return
-        times = self._times.copy()
-        for tap in self._taps:
-            tap.sync(times)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-
-    def snapshot(self) -> dict:
-        """``repro-ckpt/v1`` payload of all run-relevant state."""
-        bk = self._backend
-        return ckpt.payload(
-            "BatchedAggregateSimulation",
-            weights=self.weights.as_array(),
-            dark=bk.to_numpy(self._dark, copy=True),
-            light=bk.to_numpy(self._light, copy=True),
-            lighten=bk.to_numpy(self._lighten, copy=True),
-            times=bk.to_numpy(self._times, copy=True),
-            pending=bk.to_numpy(self._pending, copy=True),
-            n=int(self._n),
-            streams=self._streams.snapshot(),
-            rng=ckpt.rng_state(self.rng),
-        )
-
     def restore(self, data: dict) -> "BatchedAggregateSimulation":
-        """Restore a :meth:`snapshot` payload in place.
+        """Restore a :meth:`snapshot` payload in place, re-growing the
+        shared weight table after ``add_colour`` interventions.
 
-        Handles checkpoints taken after ``add_colour`` interventions:
-        the count matrix is re-widened to the snapshot's colour count.
+        Also accepts the older ``BatchedAggregateSimulation`` layout
+        (1-D ``weights`` and ``lighten``, scalar ``n``).
         """
-        ckpt.check(data, "BatchedAggregateSimulation")
-        ckpt.restore_weight_table(self.weights, data["weights"])
-        bk = self._backend
-        k = self.weights.k
-        dark = ckpt.as_array(data["dark"], INT64)
-        light = ckpt.as_array(data["light"], INT64)
-        if dark.shape != (self.replications, k) or dark.shape != light.shape:
-            raise ValueError(
-                f"count shape {dark.shape} does not match "
-                f"({self.replications}, {k})"
-            )
-        self._state = bk.from_host(HOST.xp.concatenate([dark, light], axis=1))
-        self._dark = self._state[:, :k]
-        self._light = self._state[:, k:]
-        self._lighten = bk.from_host(ckpt.as_array(data["lighten"], FLOAT64))
-        self._times = bk.from_host(ckpt.as_array(data["times"], INT64))
-        self._pending = bk.from_host(ckpt.as_array(data["pending"], INT64))
-        self._n = ckpt.as_int(data["n"])
-        self._streams.restore(data["streams"])
-        ckpt.set_rng_state(self.rng, data["rng"])
-        return self
+        if isinstance(data, dict) and data.get("engine") == _LEGACY:
+            data = _hetero_layout(ckpt.check(data, _LEGACY))
+        ckpt.check(data, "HeterogeneousAggregateBatch")
+        weights = ckpt.as_array(data["weights"], FLOAT64)
+        if weights.ndim != 2 or not (weights == weights[:1]).all():
+            raise ValueError("checkpoint rows do not share one weight table")
+        ckpt.restore_weight_table(self.weights, weights[0])
+        return super().restore(data)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchedAggregateSimulation(R={self.replications}, "
-            f"n={self.n}, k={self.k}, t={self.time})"
+
+def _as_matrix(counts, replications: int | None, k: int, name: str):
+    """``(k,)`` counts tiled to ``replications`` rows, or validated
+    ``(R, k)`` counts."""
+    counts = np.asarray(counts, dtype=INT64)
+    if counts.ndim == 1:
+        if counts.shape[0] != k:
+            raise ValueError(f"{name} must match the weight table (k={k})")
+        if replications is None:
+            raise ValueError(f"replications is required when {name} is 1-D")
+        if replications < 1:
+            raise ValueError("need at least one replication")
+        return np.tile(counts, (replications, 1))
+    if counts.ndim != 2 or counts.shape[1] != k:
+        raise ValueError(f"{name} must have shape (k,) or (R, k) with k={k}")
+    if replications is not None and counts.shape[0] != replications:
+        raise ValueError(
+            f"{name} has {counts.shape[0]} rows but "
+            f"replications={replications}"
         )
+    return counts
 
 
-def apply_step_rows(
-    state,
-    dark,
-    light,
-    lighten,
-    rows,
-    uniforms,
-    xp=None,
-):
-    """Shared per-step transition of the batched engines: one faithful
-    time-step for the ``rows`` of a ``(B, 2k)`` state matrix, mutating
-    ``dark``/``light`` in place (``state`` is their concatenation).
+def _common(steps):
+    """One step count for every replication (the common-clock contract)."""
+    if getattr(steps, "ndim", 0):
+        raise ValueError("steps must be a scalar: replications share a clock")
+    return steps
 
-    The scheduled agent's class and its sampled partner's class are
-    drawn by vectorised categorical sampling over the ``2k`` (dark,
-    light) classes — class ``c < k`` is dark colour ``c``, class
-    ``c >= k`` light colour ``c - k`` — with the scheduled agent
-    excluded from the partner draw, then the adopt/lighten rules apply
-    through boolean masks.  ``uniforms`` holds the step's three
-    ``(len(rows),)`` draws; ``lighten`` is a ``(k,)`` vector
-    (homogeneous rows) or a ``(B, k)`` matrix (per-row tables).
-    Returns the per-``rows`` changed mask.  ``xp`` selects the
-    (NumPy-compatible) namespace; the default is the host.
-    """
-    if xp is None:
-        xp = HOST.xp
-    k = state.shape[1] // 2
-    # Fancy indexing yields a fresh copy, safe to mutate below.
-    masses = state[rows]
-    sub = xp.arange(rows.size)
-    u_cls = _pick_rows(masses, uniforms[0], xp)
-    # Exclude u from its own class before the partner draw.
-    masses[sub, u_cls] -= 1
-    v_cls = _pick_rows(masses, uniforms[1], xp)
-    coin = uniforms[2]
-    u_dark = u_cls < k
-    v_dark = v_cls < k
-    u_col = xp.where(u_dark, u_cls, u_cls - k)
-    v_col = xp.where(v_dark, v_cls, v_cls - k)
-    adopt = ~u_dark & v_dark
-    threshold = (
-        lighten[rows, u_col] if lighten.ndim == 2 else lighten[u_col]
+
+def _hetero_layout(data: dict) -> dict:
+    """An older batched payload re-laid out as R identical hetero rows."""
+    rows, k = len(data["dark"]), len(data["weights"])
+    weights, lighten = (
+        np.tile(ckpt.as_array(data[key], FLOAT64), (rows, 1))
+        for key in ("weights", "lighten")
     )
-    lightened = (
-        u_dark & v_dark & (u_col == v_col) & (coin < threshold)
-    )
-    a_sel = xp.flatnonzero(adopt)
-    light[rows[a_sel], u_col[a_sel]] -= 1
-    dark[rows[a_sel], v_col[a_sel]] += 1
-    l_sel = xp.flatnonzero(lightened)
-    dark[rows[l_sel], u_col[l_sel]] -= 1
-    light[rows[l_sel], u_col[l_sel]] += 1
-    return adopt | lightened
-
-
-def advance_event_driven(
-    times,
-    horizon,
-    dark,
-    light,
-    lighten,
-    denom,
-    streams: RowStreams,
-    pending,
-    k: int,
-    tap=None,
-    backend: Backend = HOST,
-) -> None:
-    """Shared event-driven core of the batched engines: advance each
-    row to its own ``horizon[r]`` with per-row geometric event jumps,
-    mutating ``times``, ``dark``, ``light`` and ``pending`` in place.
-
-    ``lighten`` is either a ``(k,)`` vector (homogeneous rows — the
-    :class:`BatchedAggregateSimulation` case) or a ``(B, k)`` matrix
-    (per-row tables — the heterogeneous engine); ``denom`` holds each
-    row's ``n_r (n_r - 1)`` jump denominator.  Rows retire
-    independently: absorbed rows (no active events left) and rows whose
-    next jump overshoots coast to their horizon, the rest keep
-    advancing, and the loop ends when every row has arrived.
-
-    Split invariance: every row draws from its *own* substream in
-    ``streams`` — one uniform for each arrival gap, two more only when
-    the arrival is accepted — and an arrival past the horizon is stored
-    in ``pending[r]`` (absolute step; -1 = none) instead of being
-    discarded, to be consumed by the next call.  A row's consumed draw
-    sequence is therefore a pure function of its own event history, so
-    splitting a horizon (including *per-row* splits through the
-    heterogeneous engine's ``run_to``) reproduces the uninterrupted
-    trajectory bit-for-bit.
-
-    ``tap(rows)`` — if given — is called after each batch of applied
-    events with the absolute indices of the rows that just changed
-    (their clocks already advanced), letting engines feed streaming
-    accumulators from inside the loop.
-
-    ``backend`` supplies the array namespace the loop computes in and
-    the host converters for the stream boundary (``streams`` draws on
-    the CPU on every backend).
-    """
-    xp = backend.xp
-    row_lighten = lighten.ndim == 2
-    total_dark = dark.sum(axis=1)
-    terms = (dark * (dark - 1)).astype(FLOAT64) * lighten
-    # Index array of rows still short of the horizon; rows retire when
-    # they are absorbed or their next jump overshoots.
-    act = xp.flatnonzero(times < horizon)
-    while act.size:
-        # Row-wise cumulative masses over 3k classes: the first 2k
-        # (adopt per light colour, scaled by the dark total, then the
-        # lighten terms) form the active-event distribution — their
-        # running total at column 2k-1 *is* the event rate — and the
-        # last k hold the dark counts for the partner pick.
-        td = total_dark[act]
-        cum = xp.cumsum(
-            xp.concatenate(
-                [light[act] * td[:, None], terms[act], dark[act]],
-                axis=1,
-            ),
-            axis=1,
-        )
-        rate = cum[:, 2 * k - 1]
-        # Rows with no active events left (single colour, all dark,
-        # w = 1 edge cases) coast to the horizon.  An absorbed row can
-        # hold no pending arrival: rates only change through events and
-        # interventions, and interventions clear ``pending``.
-        alive = rate > 0.0
-        if not alive.all():
-            dead = act[~alive]
-            times[dead] = horizon[dead]
-            act, cum, rate = act[alive], cum[alive], rate[alive]
-            td = td[alive]
-            if act.size == 0:
-                break
-        # Rows without a carried-over arrival draw a fresh gap from
-        # their own substream; held rows reuse their stored arrival
-        # without consuming any draws.
-        fresh = pending[act] < 0
-        if fresh.any():
-            rows_f = act[fresh]
-            u_gap = backend.from_host(
-                streams.take(backend.to_numpy(rows_f), 1)
-            )[:, 0]
-            p = xp.minimum(rate[fresh] / denom[rows_f], 1.0)
-            pending[rows_f] = times[rows_f] + geometric_from_uniform(
-                u_gap, p, xp=xp
-            )
-        arrival = pending[act]
-        # A jump past the horizon means the remaining steps are no-ops:
-        # stop that row at the horizon and keep the arrival pending for
-        # the next call (memorylessness makes keeping and redrawing
-        # equal in distribution; keeping is also split-invariant
-        # bit-for-bit).  The event uniforms are only drawn on
-        # consumption, so nothing else is buffered.
-        over = arrival > horizon[act]
-        if over.any():
-            done = act[over]
-            times[done] = horizon[done]
-            keep = ~over
-            act, cum, td, arrival = (
-                act[keep], cum[keep], td[keep], arrival[keep]
-            )
-            if act.size == 0:
-                break
-        times[act] = arrival
-        pending[act] = -1
-        # One active event per remaining row; two uniforms per row
-        # (fused type/colour pick, then the dark-partner pick, which
-        # lighten events simply discard).
-        u = backend.from_host(streams.take(backend.to_numpy(act), 2)).T
-        event_pick = _below(u[0] * cum[:, 2 * k - 1], cum[:, 2 * k - 1], xp)
-        cls = xp.argmax(cum[:, : 2 * k] > event_pick[:, None], axis=1)
-        adopt = cls < k
-        # Adopt moves light i -> dark j; lighten moves dark i ->
-        # light i — one ±1 delta pair per event.  The partner pick
-        # thresholds inside the third block of the shared cumsum.
-        light_col = xp.where(adopt, cls, cls - k)
-        partner_pick = _below(
-            cum[:, 2 * k - 1] + u[1] * td, cum[:, 3 * k - 1], xp
-        )
-        j = xp.argmax(cum[:, 2 * k:] > partner_pick[:, None], axis=1)
-        dark_col = xp.where(adopt, j, light_col)
-        delta = xp.where(adopt, -1, 1)
-        light[act, light_col] += delta
-        dark[act, dark_col] -= delta
-        total_dark[act] -= delta
-        d = dark[act, dark_col].astype(FLOAT64)
-        terms[act, dark_col] = d * (d - 1.0) * (
-            lighten[act, dark_col] if row_lighten else lighten[dark_col]
-        )
-        if tap is not None:
-            tap(act)
-        finished = arrival >= horizon[act]
-        if finished.any():
-            act = act[~finished]
-
-
-def _pick_rows(masses, uniforms, xp=None):
-    """Row-wise weighted index: for each row r, the first index whose
-    cumulative mass exceeds ``uniforms[r]`` times the row total.
-
-    The threshold is clamped strictly below the row total (``uniform *
-    total`` can round up to the total when the uniform is within an ulp
-    of 1), so the selected index always carries positive mass: the
-    cumulative sum is flat over zero-mass entries, making the first
-    strict exceedance a positive increment.  This is the vectorised
-    counterpart of the scalar engine's last-non-empty fallback.  Rows
-    must have positive total mass.
-    """
-    if xp is None:
-        xp = HOST.xp
-    cum = xp.cumsum(masses, axis=1, dtype=FLOAT64)
-    picks = _below(uniforms * cum[:, -1], cum[:, -1], xp)
-    return xp.argmax(cum > picks[:, None], axis=1)
-
-
-def _below(picks, totals, xp=None):
-    """Clamp thresholds strictly below their row totals."""
-    if xp is None:
-        xp = HOST.xp
-    return xp.minimum(picks, xp.nextafter(totals, -xp.inf))
+    return {
+        **data,
+        "engine": "HeterogeneousAggregateBatch",
+        "weights": weights,
+        "lighten": lighten,
+        "ks": np.full(rows, k, dtype=INT64),
+        "n": np.full(rows, ckpt.as_int(data["n"]), dtype=INT64),
+    }

@@ -1,43 +1,32 @@
-"""Heterogeneous mega-batch aggregate engine: B rows with *different*
-weight tables, population sizes and horizons in one event loop.
+"""Batched aggregate engine: B rows of Diversification, each with its
+own weight table, population size and horizon, in one event loop.
 
-:class:`~repro.engine.batched.BatchedAggregateSimulation` fuses R
-replications of *one* configuration — one shared
-:class:`~repro.core.weights.WeightTable`, one lighten vector, one
-population size — so a parameter sweep still pays one Python-level
-event loop per grid cell.  This engine removes that restriction: every
-row carries its own weight table (stored as a zero-padded ``(B, k_max)``
-matrix), its own lightening probabilities, its own population size and
-its own step horizon, so ``B = cells x replications`` rows of an entire
-sweep advance through a *single* vectorised event loop.
+The count state is one ``(B, 2 k_max)`` matrix: dark counts ``A`` in
+the left block, light counts ``a`` in the right, each row's weights and
+lightening coins zero-padded to ``k_max`` columns.  ``B = cells x
+replications`` rows of a whole sweep thus pay the Python interpreter
+once instead of once per cell.  R replications of one configuration
+are R identical rows:
+:class:`~repro.engine.batched.BatchedAggregateSimulation` is a thin
+constructor over this engine.
 
-Padding is safe by construction.  A row with ``k_r`` colours occupies
-columns ``0..k_r-1`` of the dark block and of the light block; the
-padding columns ``k_r..k_max-1`` hold zero mass, zero weight and zero
-lightening probability.  The row-wise categorical draws
-(:func:`~repro.engine.batched._pick_rows`) clamp their thresholds
-strictly below the row totals, so a zero-mass class is never selected —
-adopt partners, lighten targets and per-step class picks all stay
-inside the row's real colour set, and the event masses
-``a_i * total_dark`` and ``A_i (A_i - 1) * lighten_i`` vanish
-identically on padding columns.  The property suite
-(``tests/property/test_hetero_invariants.py``) checks that runs and
-row-targeted interventions never leak mass into padding.
+Both modes of the scalar
+:class:`~repro.engine.aggregate.AggregateSimulation` are supported and
+exact in distribution (KS-tested in
+``tests/integration/test_batched_equivalence.py`` and
+``tests/integration/test_fused_equivalence.py``): faithful per-step
+updates (:func:`apply_step_rows`) and per-row geometric event jumps
+(:func:`advance_event_driven`).  In the event loop, rows whose next
+jump overshoots their target, or whose active rate has vanished, coast
+to the target and drop out of the update masks; one iteration costs
+O(B k_max) NumPy work but advances every live row by a full event.
 
-Per-row horizons use the same active-row retirement as the homogeneous
-engine's event mode: :meth:`HeterogeneousAggregateBatch.run_to` advances
-each row to its own target time, rows whose next geometric jump
-overshoots coast to their target and drop out of the update masks, and
-the loop ends when every row has arrived.  One loop iteration costs
-O(B k_max) NumPy work but advances every live row by a full event, so a
-whole sweep pays the Python interpreter once instead of once per cell
-(``benchmarks/bench_e17_fused_sweep.py`` measures the resulting
-speedup).
-
-Equivalence with the per-cell engines is distributional and is verified
-per cell with Kolmogorov-Smirnov tests in
-``tests/integration/test_fused_equivalence.py``, mirroring the
-established batched-vs-scalar precedent.
+Padding is safe by construction.  The padding columns ``k_r..k_max-1``
+of a row hold zero mass, zero weight and zero lightening probability,
+and the row-wise categorical draws (:func:`_pick_rows`) clamp their
+thresholds strictly below the row totals, so a zero-mass class is
+never selected; ``tests/property/test_hetero_invariants.py`` checks
+that runs and row-targeted interventions never leak mass into padding.
 
 Split invariance.  Every row owns an independent PCG64 substream
 (:class:`~repro.engine.streams.RowStreams`), and an arrival drawn past
@@ -66,9 +55,8 @@ from .backend import (
     require_engine_loops,
     resolve_backend,
 )
-from .batched import advance_event_driven, apply_step_rows
 from .rng import make_rng
-from .streams import RowStreams
+from .streams import RowStreams, geometric_from_uniform
 
 
 class HeterogeneousAggregateBatch:
@@ -102,7 +90,7 @@ class HeterogeneousAggregateBatch:
         backend: str | Backend | None = None,
     ):
         self._backend = require_engine_loops(
-            resolve_backend(backend), "HeterogeneousAggregateBatch"
+            resolve_backend(backend), type(self).__name__
         )
         xp = self._backend.xp
         tables = [
@@ -303,20 +291,12 @@ class HeterogeneousAggregateBatch:
 
     def _step_rows(self, act):
         """One faithful step for the rows in ``act`` (returns per-``act``
-        changed mask) through the shared per-step transition
-        (:func:`~repro.engine.batched.apply_step_rows`), with the
-        lighten coin thresholds indexing the per-row table."""
+        changed mask) through :func:`apply_step_rows`."""
         self._pending[act] = -1  # per-step mode re-examines every step
         bk = self._backend
         uniforms = bk.from_host(self._streams.take(bk.to_numpy(act), 3)).T
         return apply_step_rows(
-            self._state,
-            self._dark,
-            self._light,
-            self._lighten,
-            act,
-            uniforms,
-            xp=bk.xp,
+            self._state, self._lighten, act, uniforms, bk.xp
         )
 
     # ------------------------------------------------------------------
@@ -330,15 +310,12 @@ class HeterogeneousAggregateBatch:
     def run_to(self, targets) -> "HeterogeneousAggregateBatch":
         """Advance every row to its own absolute target time.
 
-        Runs the shared event core
-        (:func:`~repro.engine.batched.advance_event_driven` — fused
-        event-type/colour categorical draw over ``2 k_max`` masses, a
-        three-block cumulative sum, branch-free ±1 updates) with its
-        three per-row generalisations: the lighten terms come from the
-        ``(B, k_max)`` table, the geometric jump probabilities use
-        per-row ``n_r (n_r - 1)`` denominators, and the horizon is a
-        per-row vector, so rows retire independently (absorbed, jumped
-        past their target, or arrived) while the rest keep advancing.
+        Runs :func:`advance_event_driven` — a fused event-type/colour
+        categorical draw over ``2 k_max`` masses, a three-block
+        cumulative sum and branch-free ±1 updates, with per-row lighten
+        tables, ``n_r (n_r - 1)`` jump denominators and horizons, so
+        rows retire independently (absorbed, jumped past their target,
+        or arrived) while the rest keep advancing.
         """
         targets = self._per_row(targets, "targets")
         if (targets < self._times).any():
@@ -353,8 +330,8 @@ class HeterogeneousAggregateBatch:
             self._streams,
             self._pending,
             self.k_max,
+            self._backend,
             tap=self._tap_update if self._taps else None,
-            backend=self._backend,
         )
         self._sync_taps()
         return self
@@ -563,8 +540,200 @@ class HeterogeneousAggregateBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"HeterogeneousAggregateBatch(B={self.rows}, "
+            f"{type(self).__name__}(B={self.rows}, "
             f"k_max={self.k_max}, "
             f"n=[{int(self._n.min())}..{int(self._n.max())}], "
             f"t=[{int(self._times.min())}..{int(self._times.max())}])"
         )
+
+
+def apply_step_rows(state, lighten, rows, uniforms, xp):
+    """Per-step transition: one faithful time-step for the ``rows`` of
+    a ``(B, 2k)`` state matrix (dark block, then light block), mutating
+    it in place.
+
+    The scheduled agent's class and its sampled partner's class are
+    drawn by vectorised categorical sampling over the ``2k`` (dark,
+    light) classes — class ``c < k`` is dark colour ``c``, class
+    ``c >= k`` light colour ``c - k`` — with the scheduled agent
+    excluded from the partner draw, then the adopt/lighten rules apply
+    through boolean masks.  ``uniforms`` holds the step's three
+    ``(len(rows),)`` draws; ``lighten`` is the ``(B, k)`` per-row table.
+    Returns the per-``rows`` changed mask.  ``xp`` selects the
+    (NumPy-compatible) namespace.
+    """
+    k = state.shape[1] // 2
+    dark, light = state[:, :k], state[:, k:]
+    # Fancy indexing yields a fresh copy, safe to mutate below.
+    masses = state[rows]
+    sub = xp.arange(rows.size)
+    u_cls = _pick_rows(masses, uniforms[0], xp)
+    # Exclude u from its own class before the partner draw.
+    masses[sub, u_cls] -= 1
+    v_cls = _pick_rows(masses, uniforms[1], xp)
+    coin = uniforms[2]
+    u_dark = u_cls < k
+    v_dark = v_cls < k
+    u_col = xp.where(u_dark, u_cls, u_cls - k)
+    v_col = xp.where(v_dark, v_cls, v_cls - k)
+    adopt = ~u_dark & v_dark
+    lightened = (
+        u_dark & v_dark & (u_col == v_col) & (coin < lighten[rows, u_col])
+    )
+    a_sel = xp.flatnonzero(adopt)
+    light[rows[a_sel], u_col[a_sel]] -= 1
+    dark[rows[a_sel], v_col[a_sel]] += 1
+    l_sel = xp.flatnonzero(lightened)
+    dark[rows[l_sel], u_col[l_sel]] -= 1
+    light[rows[l_sel], u_col[l_sel]] += 1
+    return adopt | lightened
+
+
+def advance_event_driven(
+    times,
+    horizon,
+    dark,
+    light,
+    lighten,
+    denom,
+    streams: RowStreams,
+    pending,
+    k: int,
+    backend: Backend,
+    tap=None,
+) -> None:
+    """Event-driven core: advance each row to its own ``horizon[r]``
+    with per-row geometric event jumps, mutating ``times``, ``dark``,
+    ``light`` and ``pending`` in place.
+
+    ``lighten`` is the ``(B, k)`` per-row table of lightening coins;
+    ``denom`` holds each row's ``n_r (n_r - 1)`` jump denominator.
+    Every row draws from its *own* substream in ``streams`` — one
+    uniform for each arrival gap, two more only when the arrival is
+    accepted — and an arrival past the horizon is kept in
+    ``pending[r]`` (absolute step; -1 = none) for the next call, which
+    makes any split of the horizon bit-identical to one call.
+
+    ``tap(rows)`` — if given — is called after each batch of applied
+    events with the absolute indices of the rows that just changed
+    (their clocks already advanced), letting engines feed streaming
+    accumulators from inside the loop.
+
+    ``backend`` supplies the array namespace the loop computes in and
+    the host converters for the stream boundary (``streams`` draws on
+    the CPU on every backend).
+    """
+    xp = backend.xp
+    total_dark = dark.sum(axis=1)
+    terms = (dark * (dark - 1)).astype(FLOAT64) * lighten
+    # Index array of rows still short of the horizon; rows retire when
+    # they are absorbed or their next jump overshoots.
+    act = xp.flatnonzero(times < horizon)
+    while act.size:
+        # Row-wise cumulative masses over 3k classes: the first 2k
+        # (adopt per light colour, scaled by the dark total, then the
+        # lighten terms) form the active-event distribution — their
+        # running total at column 2k-1 *is* the event rate — and the
+        # last k hold the dark counts for the partner pick.
+        td = total_dark[act]
+        cum = xp.cumsum(
+            xp.concatenate(
+                [light[act] * td[:, None], terms[act], dark[act]],
+                axis=1,
+            ),
+            axis=1,
+        )
+        rate = cum[:, 2 * k - 1]
+        # Rows with no active events left (single colour, all dark,
+        # w = 1 edge cases) coast to the horizon.  An absorbed row can
+        # hold no pending arrival: rates only change through events and
+        # interventions, and interventions clear ``pending``.
+        alive = rate > 0.0
+        if not alive.all():
+            dead = act[~alive]
+            times[dead] = horizon[dead]
+            act, cum, rate = act[alive], cum[alive], rate[alive]
+            td = td[alive]
+            if act.size == 0:
+                break
+        # Rows without a carried-over arrival draw a fresh gap from
+        # their own substream; held rows reuse their stored arrival
+        # without consuming any draws.
+        fresh = pending[act] < 0
+        if fresh.any():
+            rows_f = act[fresh]
+            u_gap = backend.from_host(
+                streams.take(backend.to_numpy(rows_f), 1)
+            )[:, 0]
+            p = xp.minimum(rate[fresh] / denom[rows_f], 1.0)
+            pending[rows_f] = times[rows_f] + geometric_from_uniform(
+                u_gap, p, xp=xp
+            )
+        arrival = pending[act]
+        # A jump past the horizon means the remaining steps are no-ops:
+        # stop that row at the horizon and keep the arrival pending for
+        # the next call (memorylessness makes keeping and redrawing
+        # equal in distribution; keeping is also split-invariant
+        # bit-for-bit).  The event uniforms are only drawn on
+        # consumption, so nothing else is buffered.
+        over = arrival > horizon[act]
+        if over.any():
+            done = act[over]
+            times[done] = horizon[done]
+            keep = ~over
+            act, cum, td, arrival = (
+                act[keep], cum[keep], td[keep], arrival[keep]
+            )
+            if act.size == 0:
+                break
+        times[act] = arrival
+        pending[act] = -1
+        # One active event per remaining row; two uniforms per row
+        # (fused type/colour pick, then the dark-partner pick, which
+        # lighten events simply discard).
+        u = backend.from_host(streams.take(backend.to_numpy(act), 2)).T
+        event_pick = _below(u[0] * cum[:, 2 * k - 1], cum[:, 2 * k - 1], xp)
+        cls = xp.argmax(cum[:, : 2 * k] > event_pick[:, None], axis=1)
+        adopt = cls < k
+        # Adopt moves light i -> dark j; lighten moves dark i ->
+        # light i — one ±1 delta pair per event.  The partner pick
+        # thresholds inside the third block of the shared cumsum.
+        light_col = xp.where(adopt, cls, cls - k)
+        partner_pick = _below(
+            cum[:, 2 * k - 1] + u[1] * td, cum[:, 3 * k - 1], xp
+        )
+        j = xp.argmax(cum[:, 2 * k:] > partner_pick[:, None], axis=1)
+        dark_col = xp.where(adopt, j, light_col)
+        delta = xp.where(adopt, -1, 1)
+        light[act, light_col] += delta
+        dark[act, dark_col] -= delta
+        total_dark[act] -= delta
+        d = dark[act, dark_col].astype(FLOAT64)
+        terms[act, dark_col] = d * (d - 1.0) * lighten[act, dark_col]
+        if tap is not None:
+            tap(act)
+        finished = arrival >= horizon[act]
+        if finished.any():
+            act = act[~finished]
+
+
+def _pick_rows(masses, uniforms, xp):
+    """Row-wise weighted index: for each row r, the first index whose
+    cumulative mass exceeds ``uniforms[r]`` times the row total.
+
+    The threshold is clamped strictly below the row total (``uniform *
+    total`` can round up to the total when the uniform is within an ulp
+    of 1), so the selected index always carries positive mass: the
+    cumulative sum is flat over zero-mass entries, making the first
+    strict exceedance a positive increment.  This is the vectorised
+    counterpart of the scalar engine's last-non-empty fallback.  Rows
+    must have positive total mass.
+    """
+    cum = xp.cumsum(masses, axis=1, dtype=FLOAT64)
+    picks = _below(uniforms * cum[:, -1], cum[:, -1], xp)
+    return xp.argmax(cum > picks[:, None], axis=1)
+
+
+def _below(picks, totals, xp):
+    """Clamp thresholds strictly below their row totals."""
+    return xp.minimum(picks, xp.nextafter(totals, -xp.inf))

@@ -1,6 +1,6 @@
 """Per-row uniform draw streams for the batched engines.
 
-The batched event loops (:func:`repro.engine.batched.advance_event_driven`)
+The batched event loop (:func:`repro.engine.hetero.advance_event_driven`)
 advance many rows through one Python-level loop, but rows retire at
 *different* iterations — when they are absorbed, overshoot their
 horizon, or simply have an earlier target.  With a single shared

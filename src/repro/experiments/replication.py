@@ -9,7 +9,9 @@ common measurement — final colour counts over R replications.  When the
 run is *aggregate-compatible* (Diversification or its
 ``lighten_probabilities`` ablations on the complete graph), all R
 replications are fused into one
-:class:`~repro.engine.batched.BatchedAggregateSimulation` — including
+:class:`~repro.engine.batched.BatchedAggregateSimulation` (R identical
+rows of the :class:`~repro.engine.hetero.HeterogeneousAggregateBatch`
+engine) — including
 under an intervention schedule, which is applied batch-wide between
 event segments (so the E6/E7 adversarial sweeps share the batched fast
 path).  Agent-level runs (explicit topologies, baseline dynamics) that
@@ -28,7 +30,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.ablations import UnweightedLightening
 from ..core.diversification import Diversification
@@ -97,6 +98,10 @@ def summarise(
         return Summary(mean, 0.0, 0.0, mean, mean, 1)
     std = float(data.std(ddof=1))
     stderr = std / float(np.sqrt(data.size))
+    # Imported here: scipy.stats costs about a second at process start,
+    # and only this summary needs it.
+    from scipy import stats
+
     halfwidth = float(
         stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1) * stderr
     )

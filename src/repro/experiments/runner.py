@@ -167,8 +167,9 @@ def run_aggregate(
     :class:`BatchRunRecord` of final configurations is returned instead
     of a time series.  When ``batched`` is set (the default) all R
     replications advance together inside one
-    :class:`~repro.engine.batched.BatchedAggregateSimulation` —
-    including under an intervention ``schedule``, which is applied
+    :class:`~repro.engine.batched.BatchedAggregateSimulation` (R
+    identical rows of the heterogeneous batch engine) — including
+    under an intervention ``schedule``, which is applied
     batch-wide between event segments; ``batched=False`` loops over
     scalar engines with independent child seeds instead.
     """

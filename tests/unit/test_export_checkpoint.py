@@ -6,6 +6,7 @@ anywhere in the round trip.
 """
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -109,6 +110,67 @@ class TestRoundTrip:
         json.loads(json_path.read_text())  # valid plain JSON
         with np.load(npz_path, allow_pickle=False) as archive:
             assert "counts" in archive
+
+
+LEGACY = pathlib.Path(__file__).parent.parent / "data" / "legacy_batched_ckpt"
+
+
+class TestLegacyBatchedSnapshot:
+    """Snapshots written by the standalone batched engine (1-D weights
+    and lighten, scalar n) restore into the current class and continue
+    bit-identically.
+
+    The fixture is R=3, weights (1, 2, 3), seed 21: ``run(250)``,
+    ``add_colour(4.0, 6)``, ``run(150)``, then the snapshot; the
+    expected file holds the state after a further ``run(200)``, the next
+    two per-row stream draws and the next base-generator draw.
+    """
+
+    def test_restores_and_continues_bit_identically(self):
+        payload = load_checkpoint(LEGACY / "snapshot")
+        assert payload["engine"] == "BatchedAggregateSimulation"
+        expected = json.loads((LEGACY / "expected.json").read_text())
+        weights = WeightTable([1.0, 2.0, 3.0])
+        engine = BatchedAggregateSimulation(
+            weights, [30, 20, 10], replications=3, rng=0
+        )
+        engine.restore(payload)
+        assert weights.as_array().tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert engine.n == 66 and engine.time == 400
+        engine.run(expected["run"])
+        assert engine.dark_counts().tolist() == expected["dark"]
+        assert engine.light_counts().tolist() == expected["light"]
+        assert engine._times.tolist() == expected["times"]
+        rows = np.arange(3)
+        assert engine._streams.take(rows, 2).tolist() == expected["take"]
+        assert engine.rng.random() == expected["rng"]
+
+    def test_new_snapshot_round_trips(self):
+        engine = BatchedAggregateSimulation(
+            WeightTable([1.0, 2.0, 3.0]), [30, 20, 10], replications=3, rng=0
+        )
+        engine.restore(load_checkpoint(LEGACY / "snapshot"))
+        twin = BatchedAggregateSimulation(
+            WeightTable([1.0, 2.0, 3.0]), [30, 20, 10], replications=3, rng=5
+        )
+        twin.restore(engine.snapshot())
+        assert twin.k == 4
+        engine.run(300)
+        twin.run(300)
+        assert np.array_equal(engine.dark_counts(), twin.dark_counts())
+        assert np.array_equal(engine.light_counts(), twin.light_counts())
+
+    def test_heterogeneous_rows_rejected(self):
+        from repro.engine import HeterogeneousAggregateBatch
+
+        hetero = HeterogeneousAggregateBatch(
+            [[1.0, 2.0], [1.0, 3.0]], [[5, 5], [5, 5]], rng=0
+        )
+        engine = BatchedAggregateSimulation(
+            WeightTable([1.0, 2.0]), [5, 5], replications=2, rng=0
+        )
+        with pytest.raises(ValueError, match="one weight table"):
+            engine.restore(hetero.snapshot())
 
 
 class TestValidation:

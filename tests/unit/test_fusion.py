@@ -19,12 +19,13 @@ from repro.experiments.fusion import (
     spec_fused_sweep,
 )
 from repro.experiments.pipeline import (
+    ProcessExecutor,
     ScenarioSpec,
+    SerialExecutor,
     ShardError,
-    _init_worker,
-    _run_worker_shard,
     execute,
     plan,
+    shard_tasks,
 )
 
 
@@ -205,9 +206,9 @@ class TestSweepSpec:
 
 
 class TestSlimExecutorTasks:
-    """PR satellite: the process pool ships ``(params, seed)`` per
-    shard; the measurement callable travels once via the pool
-    initializer instead of once per task."""
+    """The process pool ships ``(params, seed)`` per shard; the
+    measurement callable travels once per worker, at spawn, instead of
+    once per task."""
 
     def test_per_shard_payload_shrank(self):
         expanded = plan(spec_fused_sweep(replications=2))
@@ -224,17 +225,20 @@ class TestSlimExecutorTasks:
         assert b"measure_sweep_final_counts" not in pickle.dumps(task)
 
     def test_worker_initializer_round_trip(self):
-        """The initializer + slim-task pair computes the same outcome
-        as the serial worker."""
+        """The supervised pool's workers, handed the measurement once
+        at spawn, turn the slim tasks into the serial executor's
+        outcomes."""
         spec = ScenarioSpec(
-            name="t", measure=_echo_measure, grid={"a": (7,)},
+            name="t", measure=_echo_measure, grid={"a": (7, 8, 9)},
             base_seed=3,
         )
-        shard = plan(spec).shards[0]
-        _init_worker(_echo_measure)
-        value, error, _ = _run_worker_shard((shard.params, shard.seed))
-        assert error is None
-        assert value["cell"] == 7
-        assert value["draw"] == float(
-            np.random.default_rng(shard.seed).random()
-        )
+        shards = plan(spec).shards
+        tasks = shard_tasks(shards, None)
+        pooled = ProcessExecutor(2).run_shards(_echo_measure, tasks)
+        serial = SerialExecutor().run_shards(_echo_measure, tasks)
+        assert [o.error for o in pooled] == [None] * 3
+        assert [o.value for o in pooled] == [o.value for o in serial]
+        assert pooled[0].value == {
+            "cell": 7,
+            "draw": float(np.random.default_rng(shards[0].seed).random()),
+        }
