@@ -40,7 +40,7 @@ from .replication import (
     replicate_colour_counts,
     summarise,
 )
-from .cache import ShardCache, shard_key, spec_fingerprint, verify_cache
+from .cache import ShardCache, shard_key, verify_cache
 from .chain import E8_PROFILES, experiment_markov_chain, spec_markov_chain
 from .convergence import (
     E1_PROFILES,
@@ -251,7 +251,6 @@ __all__ = [
     "ProcessExecutor",
     "ShardCache",
     "shard_key",
-    "spec_fingerprint",
     "verify_cache",
     "FaultPlan",
     "InjectedFault",

@@ -2,10 +2,8 @@
 
 Every sweep used to recompute all of its shards from scratch, even when
 a grid cell with identical (parameters, seed, measurement, code
-version) had already been computed by a previous run.  This module
-generalises the spec-level resume fingerprint of
-:mod:`repro.experiments.checkpoint` to *per-shard* keys: a
-:class:`ShardCache` is an on-disk store addressed by
+version) had already been computed by a previous run.  A
+:class:`ShardCache` is an on-disk store of shard values addressed by
 :func:`shard_key`, a stable SHA-256 of
 
 * the **measurement identity** — ``module:qualname`` of the
@@ -25,10 +23,15 @@ generalises the spec-level resume fingerprint of
   which are only distribution-equivalent to the per-shard path and
   therefore live in their own key space.
 
-Cached values round-trip through JSON exactly like resumed checkpoint
-shards (``repro-plan-ckpt/v1`` precedent), so a warm run's tables are
+Cached values round-trip through JSON, so a warm run's tables are
 byte-identical to a cold run's — asserted end to end by
 ``benchmarks/bench_e19_cache.py`` and the warm-vs-cold CI job.
+
+The cache is also the resume store of long sweeps.  The executors
+write each shard's entry as soon as that shard finishes
+(:func:`~repro.experiments.pipeline.run_stored`), so an interrupted,
+killed or failed run leaves every finished shard on disk; running the
+same command again against the same directory computes only the rest.
 
 Seed scopes and overlap.  Whether an *overlapping* sweep hits depends
 on the spec's seed scope: ``"cell"`` and ``"direct"`` scopes derive
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.backend import resolve_backend
-from .export import _plain_tree, spec_to_payload
+from .export import _plain_tree
 from .pipeline import ScenarioSpec, Shard
 
 __all__ = [
@@ -66,7 +69,6 @@ __all__ = [
     "package_fingerprint",
     "resolve_cache",
     "shard_key",
-    "spec_fingerprint",
     "verify_cache",
 ]
 
@@ -152,14 +154,6 @@ def backend_fingerprint(backend=None) -> dict:
             "bool": _dtype_label(dtypes.bool_),
         },
     }
-
-
-def spec_fingerprint(spec: ScenarioSpec) -> str:
-    """Stable hash of the spec's serialised form (grid, fixed params,
-    replications, seeding rule) — the checkpoint resume-compatibility
-    key, canonical home since the per-shard generalisation."""
-    doc = json.dumps(spec_to_payload(spec), sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def _seed_payload(seed: np.random.SeedSequence) -> dict:

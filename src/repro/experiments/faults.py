@@ -26,8 +26,7 @@ Fault-spec grammar (``--inject-faults``)::
 
     SPEC    := entry[,entry ...]
     entry   := KIND ':' TARGET [':' OPT ...]
-    KIND    := raise | hang | crash | corrupt | fuse-raise
-             | tear-cache | tear-ckpt
+    KIND    := raise | hang | crash | corrupt | fuse-raise | tear-cache
     TARGET  := 'i' IDX['|'IDX ...]     explicit shard indices, e.g. i0|3
              | 'p' FLOAT               each shard independently with
                                        probability FLOAT (seeded)
@@ -41,9 +40,8 @@ calls ``os._exit`` in the worker process; ``corrupt`` replaces the
 measurement's return value with a non-mapping payload (caught by the
 runner's value validation and retried); ``fuse-raise`` fails only the
 *fused mega-batch group* containing the shard (exercising graceful
-degradation); ``tear-cache`` / ``tear-ckpt`` tear the shard's cache
-entry or the plan checkpoint file mid-write (exercising quarantine and
-torn-checkpoint recovery).  Process-level faults (``hang``, ``crash``)
+degradation); ``tear-cache`` tears the shard's cache entry mid-write
+(exercising quarantine).  Process-level faults (``hang``, ``crash``)
 are simulated as raises when the shard runs in-process (serial path):
 the orchestrator itself is never killed or blocked.
 """
@@ -57,7 +55,7 @@ import os
 import queue
 import time
 import traceback
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +77,7 @@ __all__ = [
 #: Fault kinds applied inside the shard attempt (travel to workers).
 WORKER_FAULT_KINDS = ("raise", "hang", "crash", "corrupt")
 #: Fault kinds applied by the orchestrator (never shipped to workers).
-FAULT_KINDS = WORKER_FAULT_KINDS + ("fuse-raise", "tear-cache", "tear-ckpt")
+FAULT_KINDS = WORKER_FAULT_KINDS + ("fuse-raise", "tear-cache")
 
 #: Entropy tag mixed into the fault-selection seed so the fault stream
 #: never collides with the plan's own shard streams (which are plain
@@ -374,7 +372,7 @@ class FaultPlan:
         """
         for index in indices:
             for fault in self.for_shard(index):
-                if fault.kind in ("tear-cache", "tear-ckpt"):
+                if fault.kind == "tear-cache":
                     continue
                 if fault.active(attempt):
                     return (
@@ -405,24 +403,6 @@ class FaultPlan:
             path.write_text(document[: max(1, len(document) // 2)])
             return path
         return store.put(key, value, seconds, experiment=experiment)
-
-    def tear_checkpoint(self, path, indices: Sequence[int]) -> bool:
-        """Truncate the plan checkpoint after a flush covering a
-        selected shard (one-shot per shard), modelling a torn write."""
-        import pathlib
-
-        for index in indices:
-            for fault in self.for_shard(index):
-                if fault.kind != "tear-ckpt":
-                    continue
-                if (index, fault.kind) in self._fired:
-                    continue
-                self._fired.add((index, fault.kind))
-                target = pathlib.Path(path)
-                text = target.read_text()
-                target.write_text(text[: max(1, len(text) // 2)])
-                return True
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -528,13 +508,16 @@ def run_serial_shards(
     policy: RetryPolicy = NO_RETRY,
     *,
     stop_on_failure: bool = True,
+    on_outcome: Callable[[int, ShardOutcome], None] | None = None,
 ) -> list[ShardOutcome | None]:
     """Run shards in the calling process with per-shard retries.
 
     Returns one :class:`ShardOutcome` per task, aligned by position;
     with ``stop_on_failure`` the entries after the first permanently
     failed shard stay None (those shards never ran — the legacy
-    fail-fast contract).
+    fail-fast contract).  ``on_outcome(slot, outcome)`` is called as
+    soon as each task's outcome is final, so the caller can persist
+    finished shards before the loop returns (or is interrupted).
     """
     outcomes: list[ShardOutcome | None] = [None] * len(tasks)
     for slot, task in enumerate(tasks):
@@ -560,6 +543,8 @@ def run_serial_shards(
             attempts=attempt,
             attempt_errors=tuple(errors),
         )
+        if on_outcome is not None:
+            on_outcome(slot, outcomes[slot])
         if error is not None and stop_on_failure:
             break
     return outcomes
@@ -624,6 +609,7 @@ def run_pool_shards(
     policy: RetryPolicy = NO_RETRY,
     *,
     stop_on_failure: bool = True,
+    on_outcome: Callable[[int, ShardOutcome], None] | None = None,
 ) -> list[ShardOutcome | None]:
     """Run shards across ``jobs`` supervised worker processes.
 
@@ -643,6 +629,9 @@ def run_pool_shards(
     Returns outcomes aligned by task position (None = never completed,
     only possible with ``stop_on_failure`` after an earlier permanent
     failure, which also abandons in-flight work like the old pool did).
+    ``on_outcome(slot, outcome)`` is called in this (the orchestrating)
+    process as soon as each task's outcome is final, in completion
+    order.
     """
     count = len(tasks)
     if count == 0:
@@ -678,6 +667,8 @@ def run_pool_shards(
             attempt_errors=tuple(errors[slot]),
         )
         pending -= 1
+        if on_outcome is not None:
+            on_outcome(slot, outcomes[slot])
         if stop_on_failure:
             stop = True
 
@@ -700,6 +691,8 @@ def run_pool_shards(
                 attempt_errors=tuple(errors[slot]),
             )
             pending -= 1
+            if on_outcome is not None:
+                on_outcome(slot, outcomes[slot])
         else:
             attempt_failed(slot, attempt, error, seconds)
 

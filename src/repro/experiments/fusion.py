@@ -57,9 +57,11 @@ from .pipeline import (
     ShardError,
     ShardResult,
     build_fault_report,
+    cache_record,
     make_executor,
     plan as expand_plan,
-    shard_tasks,
+    run_stored,
+    store_value,
 )
 
 __all__ = [
@@ -257,16 +259,6 @@ class FusedExecutor:
             or self.max_failures is not None
         )
 
-    def _store_fresh(self, store, key, shard, value, seconds, *,
-                     experiment):
-        if self.faults is not None:
-            self.faults.cache_put(
-                store, shard.index, key, value, seconds,
-                experiment=experiment,
-            )
-        else:
-            store.put(key, value, seconds, experiment=experiment)
-
     def _run_group(self, spec, impl, to_run, keys, store, outcomes):
         """One mega-batch group: up to two fused attempts when
         degradation is armed, then surrender the members to the
@@ -301,10 +293,8 @@ class FusedExecutor:
             per_shard = elapsed / len(to_run)
             for shard, value in zip(to_run, values):
                 if store is not None:
-                    self._store_fresh(
-                        store, keys[shard.index], shard, value,
-                        per_shard, experiment=spec.name,
-                    )
+                    store_value(store, self.faults, spec, shard,
+                                keys[shard.index], value, per_shard)
                 outcomes[shard.index] = (value, per_shard)
             return []
         if not self._degrading:
@@ -371,65 +361,16 @@ class FusedExecutor:
         if fallback:
             # Degraded group members join the ordinary fallback shards
             # here and cache under the per-shard ("shard") key space.
-            if store is not None:
-                from .cache import lookup_shards
-
-                keys, cached, to_run = lookup_shards(
-                    store, spec, fallback
-                )
-                for index, entry in cached.items():
-                    outcomes[index] = (
-                        entry["value"], float(entry["seconds"])
-                    )
-                hits += len(cached)
-                misses += len(to_run)
-            else:
-                keys, to_run = {}, fallback
-            tasks = shard_tasks(to_run, self.faults)
-            shard_outcomes = (
-                self.shard_executor.run_shards(
-                    spec.measure, tasks, self.retry or NO_RETRY,
-                    stop_on_failure=self.max_failures is None,
-                )
-                if tasks
-                else []
+            results, cached, self.shard_pairs = run_stored(
+                spec, fallback, self.shard_executor, store,
+                retry=self.retry, faults=self.faults,
+                max_failures=self.max_failures,
             )
-            failure: ShardError | None = None
-            for shard, outcome in zip(to_run, shard_outcomes):
-                if outcome is None:
-                    continue
-                self.shard_pairs.append((shard, outcome))
-                if outcome.error is not None:
-                    if failure is None:
-                        failure = ShardError.from_outcome(
-                            spec.name, shard, outcome
-                        )
-                    continue
-                if store is not None:
-                    self._store_fresh(
-                        store, keys[shard.index], shard, outcome.value,
-                        outcome.seconds, experiment=spec.name,
-                    )
-                outcomes[shard.index] = (outcome.value, outcome.seconds)
-            if failure is not None and (
-                self.max_failures is None
-                or sum(
-                    1
-                    for _, outcome in self.shard_pairs
-                    if outcome.error is not None
-                )
-                > int(self.max_failures)
-            ):
-                raise failure
-        if store is not None:
-            self.cache_stats = {
-                "enabled": True,
-                "hits": hits,
-                "misses": misses,
-                "dir": str(store.directory),
-            }
-        else:
-            self.cache_stats = None
+            for result in results:
+                outcomes[result.shard.index] = (result.value, result.seconds)
+            hits += cached
+            misses += len(self.shard_pairs)
+        self.cache_stats = cache_record(store, hits, misses)
         return outcomes
 
 

@@ -280,6 +280,8 @@ class SerialExecutor:
     :class:`~repro.experiments.faults.RetryPolicy` adds per-shard
     retries with backoff, and ``stop_on_failure=False`` (the
     ``max_failures`` path) keeps going past permanently failed shards.
+    ``on_outcome(slot, outcome)`` sees each shard's final outcome as
+    soon as it exists (see :func:`run_stored`).
     """
 
     jobs = 1
@@ -291,10 +293,11 @@ class SerialExecutor:
         policy: RetryPolicy | None = None,
         *,
         stop_on_failure: bool = True,
+        on_outcome=None,
     ) -> list[ShardOutcome | None]:
         return run_serial_shards(
             measure, tasks, policy or NO_RETRY,
-            stop_on_failure=stop_on_failure,
+            stop_on_failure=stop_on_failure, on_outcome=on_outcome,
         )
 
 
@@ -326,10 +329,11 @@ class ProcessExecutor:
         policy: RetryPolicy | None = None,
         *,
         stop_on_failure: bool = True,
+        on_outcome=None,
     ) -> list[ShardOutcome | None]:
         return run_pool_shards(
             measure, tasks, self.jobs, policy or NO_RETRY,
-            stop_on_failure=stop_on_failure,
+            stop_on_failure=stop_on_failure, on_outcome=on_outcome,
         )
 
 
@@ -413,100 +417,99 @@ def build_fault_report(
     }
 
 
-def _merge_outcomes(
-    spec,
-    shards: Sequence[Shard],
-    outcomes: Sequence[ShardOutcome | None],
-    *,
-    max_failures: int | None,
-) -> tuple[list[ShardResult], list[tuple[Shard, ShardOutcome]]]:
-    """Turn aligned outcomes into results, enforcing the failure
-    budget: raises the lowest-index failure when no budget is set or
-    the budget is exceeded; otherwise returns the healthy results and
-    the tolerated failures."""
-    results: list[ShardResult] = []
-    failures: list[tuple[Shard, ShardOutcome]] = []
-    for shard, outcome in zip(shards, outcomes):
-        if outcome is None:
-            continue
-        if outcome.error is not None:
-            failures.append((shard, outcome))
-        else:
-            results.append(
-                ShardResult(
-                    shard=shard,
-                    value=outcome.value,
-                    seconds=outcome.seconds,
-                )
-            )
+def store_value(store, faults: FaultPlan | None, spec, shard: Shard,
+                key: str, value: dict, seconds: float):
+    """Write one computed shard value to the cache, through the fault
+    plan's ``tear-cache`` injection when one is attached."""
+    if faults is not None:
+        return faults.cache_put(
+            store, shard.index, key, value, seconds,
+            experiment=spec.name,
+        )
+    return store.put(key, value, seconds, experiment=spec.name)
+
+
+def run_stored(spec, shards: Sequence[Shard], executor, store, *,
+               retry: RetryPolicy | None = None,
+               faults: FaultPlan | None = None,
+               max_failures: int | None = None):
+    """Run ``shards`` per shard, storing each success as it finishes.
+
+    With a :class:`~repro.experiments.cache.ShardCache` ``store``
+    every shard is first looked up by its ``"shard"``-mode content
+    address; only the misses run, and each successful miss is written
+    to the store the moment its outcome is final — in the orchestrator,
+    before the executor returns.  An interrupted or failed run
+    therefore leaves every finished shard on disk, and re-running the
+    same command against the same cache directory resumes it: hits
+    replay their stored value (JSON round-tripped) and report the
+    *original* compute wall-clock as ``seconds``.  With ``store=None``
+    every shard is a miss and nothing is stored.
+
+    Returns ``(results, hits, pairs)``: the hit and fresh
+    :class:`ShardResult`\\ s in the given shard order, the hit count,
+    and ``(shard, outcome)`` for every miss (the fault report's
+    input).  Raises :class:`ShardError` for the lowest-index failure
+    when no ``max_failures`` budget is set or the budget is exceeded.
+    """
+    if store is None:
+        keys, hits, misses = {}, {}, list(shards)
+    else:
+        from .cache import lookup_shards
+
+        keys, hits, misses = lookup_shards(store, spec, shards)
+
+    def on_outcome(slot: int, outcome: ShardOutcome) -> None:
+        if store is not None and outcome.error is None:
+            shard = misses[slot]
+            store_value(store, faults, spec, shard, keys[shard.index],
+                        outcome.value, outcome.seconds)
+
+    outcomes = (
+        executor.run_shards(
+            spec.measure, shard_tasks(misses, faults), retry,
+            stop_on_failure=max_failures is None, on_outcome=on_outcome,
+        )
+        if misses
+        else []
+    )
+    pairs = list(zip(misses, outcomes))
+    failures = [
+        (shard, outcome)
+        for shard, outcome in pairs
+        if outcome is not None and outcome.error is not None
+    ]
     if failures and (
         max_failures is None or len(failures) > int(max_failures)
     ):
         shard, outcome = failures[0]
         raise ShardError.from_outcome(spec.name, shard, outcome)
-    return results, failures
+    done = {
+        index: (entry["value"], float(entry["seconds"]))
+        for index, entry in hits.items()
+    }
+    for shard, outcome in pairs:
+        if outcome is not None and outcome.error is None:
+            done[shard.index] = (outcome.value, outcome.seconds)
+    results = [
+        ShardResult(shard, *done[shard.index])
+        for shard in shards
+        if shard.index in done
+    ]
+    return results, len(hits), pairs
 
 
-def _run_cached(spec, expanded, executor, store, *, retry, faults,
-                max_failures):
-    """Cache-aware shard execution: consult the store per shard, run
-    only the misses through the executor and write them back.
-
-    Hit shards replay their stored value (JSON round-tripped, exactly
-    like resumed checkpoint shards) and report the *original* compute
-    wall-clock as ``seconds``.  Every successful miss is stored even
-    when another miss fails, so a failed sweep's progress still warms
-    the cache.
-    """
-    from .cache import lookup_shards
-
-    keys, hits, misses = lookup_shards(store, spec, expanded.shards)
-    tasks = shard_tasks(misses, faults)
-    outcomes = (
-        executor.run_shards(
-            spec.measure, tasks, retry,
-            stop_on_failure=max_failures is None,
-        )
-        if misses
-        else []
-    )
-    for shard, outcome in zip(misses, outcomes):
-        if outcome is None or outcome.error is not None:
-            continue
-        if faults is not None:
-            faults.cache_put(
-                store, shard.index, keys[shard.index], outcome.value,
-                outcome.seconds, experiment=spec.name,
-            )
-        else:
-            store.put(
-                keys[shard.index], outcome.value, outcome.seconds,
-                experiment=spec.name,
-            )
-    miss_results, failures = _merge_outcomes(
-        spec, misses, outcomes, max_failures=max_failures
-    )
-    fresh = {result.shard.index: result for result in miss_results}
-    results = []
-    for shard in expanded.shards:
-        if shard.index in hits:
-            entry = hits[shard.index]
-            results.append(
-                ShardResult(
-                    shard=shard,
-                    value=entry["value"],
-                    seconds=float(entry["seconds"]),
-                )
-            )
-        elif shard.index in fresh:
-            results.append(fresh[shard.index])
-    stats = {
+def cache_record(store, hits: int, misses: int) -> dict | None:
+    """The ``PlanResult.cache_stats`` record of one run (None without
+    a cache)."""
+    if store is None:
+        return None
+    return {
         "enabled": True,
-        "hits": len(hits),
-        "misses": len(misses),
+        "hits": hits,
+        "misses": misses,
         "dir": str(store.directory),
     }
-    return results, stats, list(zip(misses, outcomes)), failures
 
 
 def execute(
@@ -533,12 +536,14 @@ def execute(
     With ``cache`` set (a :class:`~repro.experiments.cache.ShardCache`
     or a directory path) every shard is looked up by its content
     address (:func:`~repro.experiments.cache.shard_key`) before
-    computing; only the misses run, fresh values are written back, and
-    the returned :class:`PlanResult` carries per-run hit/miss counts in
+    computing; only the misses run, each fresh value is written back as
+    soon as it is computed (:func:`run_stored`), and the returned
+    :class:`PlanResult` carries per-run hit/miss counts in
     ``cache_stats``.  Hit shards replay bit-identically on the
     serial/process paths; on the fused path each mega-batch group runs
     only its miss rows (cached and fresh values are scattered back in
-    shard order).
+    shard order).  Resuming an interrupted run is running it again
+    against the same cache.
 
     Fault tolerance.  ``retry`` applies a
     :class:`~repro.experiments.faults.RetryPolicy` per shard (retried
@@ -577,25 +582,16 @@ def execute(
     track_faults = (
         retry is not None or faults is not None or max_failures is not None
     )
-    start = time.perf_counter()
-    if cache is None:
-        tasks = shard_tasks(expanded.shards, faults)
-        outcomes = executor.run_shards(
-            spec.measure, tasks, retry,
-            stop_on_failure=max_failures is None,
-        )
-        results, failures = _merge_outcomes(
-            spec, expanded.shards, outcomes, max_failures=max_failures
-        )
-        pairs = list(zip(expanded.shards, outcomes))
-        cache_stats = None
-    else:
+    store = None
+    if cache is not None:
         from .cache import resolve_cache
 
-        results, cache_stats, pairs, failures = _run_cached(
-            spec, expanded, executor, resolve_cache(cache),
-            retry=retry, faults=faults, max_failures=max_failures,
-        )
+        store = resolve_cache(cache)
+    start = time.perf_counter()
+    results, hits, pairs = run_stored(
+        spec, expanded.shards, executor, store,
+        retry=retry, faults=faults, max_failures=max_failures,
+    )
     elapsed = time.perf_counter() - start
     fault_report = (
         build_fault_report(
@@ -610,6 +606,6 @@ def execute(
         results=results,
         jobs=executor.jobs,
         elapsed_seconds=elapsed,
-        cache_stats=cache_stats,
+        cache_stats=cache_record(store, hits, len(pairs)),
         fault_report=fault_report,
     )

@@ -185,14 +185,3 @@ class TestCliCache:
         ) == 0
         assert "cache:" not in capsys.readouterr().err
         assert not any(tmp_path.rglob("*.json"))
-
-    def test_cache_disabled_under_checkpointing(self, capsys, tmp_path):
-        assert main(
-            ["run", "e8", "--quick", "--cache",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--checkpoint-every", "1",
-             "--checkpoint-dir", str(tmp_path / "ckpt")]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "--cache has no effect" in err
-        assert not (tmp_path / "cache").exists()

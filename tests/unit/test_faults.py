@@ -118,10 +118,8 @@ class TestFaultSpecGrammar:
             FaultPlan.from_spec(bad, shards=4)
 
     def test_worker_faults_exclude_tear_kinds(self):
-        plan = FaultPlan.from_spec(
-            "raise:i0,tear-cache:i0,tear-ckpt:i0", shards=1
-        )
-        assert len(plan.for_shard(0)) == 3
+        plan = FaultPlan.from_spec("raise:i0,tear-cache:i0", shards=1)
+        assert len(plan.for_shard(0)) == 2
         assert [f.kind for f in plan.worker_faults(0)] == ["raise"]
 
     def test_every_kind_parses(self):
@@ -240,18 +238,6 @@ class TestTearInjection:
         key = "cd" + "1" * 62
         plan.cache_put(store, 0, key, {"v": 2}, 0.1, experiment="t")
         assert store.get(key)["value"] == {"v": 2}
-
-    def test_tear_checkpoint_truncates_once(self, tmp_path):
-        target = tmp_path / "plan.ckpt.json"
-        doc = json.dumps({"format": "repro-plan-ckpt/v1", "x": 1})
-        target.write_text(doc)
-        plan = FaultPlan.from_spec("tear-ckpt:i1", shards=3)
-        assert plan.tear_checkpoint(target, [0, 1]) is True
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(target.read_text())
-        target.write_text(doc)
-        assert plan.tear_checkpoint(target, [0, 1]) is False
-        assert json.loads(target.read_text())["x"] == 1
 
 
 class TestInjectedFaultType:
