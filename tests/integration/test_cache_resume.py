@@ -98,6 +98,25 @@ class TestResume:
         assert resumed.cache_stats["misses"] == 3
         assert resumed.values() == execute(spec).values()
 
+    def test_resumed_shards_keep_recorded_seconds(self, tmp_path):
+        spec = make_spec()
+        store = ShardCache(tmp_path)
+        ARMED["raise"] = 3
+        with pytest.raises(ShardError):
+            execute(spec, cache=store)
+        ARMED["raise"] = None
+        shards = plan(spec).shards
+        recorded = {
+            shard.index: store.get(shard_key(spec, shard))["seconds"]
+            for shard in shards[:3]
+        }
+        resumed = execute(spec, cache=store)
+        replayed = {
+            r.shard.index: r.seconds for r in resumed.results
+            if r.shard.index in recorded
+        }
+        assert replayed == recorded
+
     def test_warm_rerun_calls_the_measurement_zero_times(self, tmp_path):
         spec = make_spec()
         first = execute(spec, cache=tmp_path)
